@@ -22,34 +22,6 @@ double bl_probability(const DegreeStats& stats, double a_factor) {
   return std::clamp(1.0 / (a * delta), 1e-9, 0.5);
 }
 
-namespace {
-
-/// Materialize live edges into `lists`, reusing the outer vector AND each
-/// inner vector's capacity (the vector only grows; callers use the returned
-/// count, not lists.size()).  This is the degree-stats input.
-std::size_t live_edge_lists(const MutableHypergraph& mh,
-                            std::vector<VertexList>& lists) {
-  std::size_t count = 0;
-  for (const EdgeId e : mh.live_edges()) {
-    if (count == lists.size()) lists.emplace_back();
-    const auto verts = mh.edge(e);
-    lists[count].assign(verts.begin(), verts.end());
-    ++count;
-  }
-  return count;
-}
-
-DegreeStats live_degree_stats(const MutableHypergraph& mh,
-                              const DegreeStatsOptions& opt,
-                              engine::RoundContext& ctx) {
-  auto& lists = ctx.edge_lists();
-  const std::size_t count = live_edge_lists(mh, lists);
-  return compute_degree_stats(
-      std::span<const VertexList>(lists.data(), count), opt);
-}
-
-}  // namespace
-
 BlOutcome bl_run(MutableHypergraph& mh, const BlOptions& opt,
                  par::Metrics* metrics, engine::RoundContext* ctx) {
   BlOutcome out;
@@ -72,11 +44,15 @@ BlOutcome bl_run(MutableHypergraph& mh, const BlOptions& opt,
     if (!isolated.empty()) mh.color_blue(isolated);
   }
 
+  // Δ(H) of the residual, kept live across rounds: each sync re-counts
+  // only the edges the previous round shrank or deleted.
+  DegreeTracker& degrees = rc.degree_tracker();
+  degrees.reset(opt.stats);
+
   // Stage-invariant quantities when recompute_probability is off.
   double static_p = opt.probability_override;
   if (static_p <= 0.0 && !opt.recompute_probability) {
-    const auto stats = live_degree_stats(mh, opt.stats, rc);
-    static_p = bl_probability(stats, opt.a_factor);
+    static_p = bl_probability(degrees.sync(mh), opt.a_factor);
   }
 
   auto& marked = rc.marked(mh.num_original_vertices());
@@ -112,7 +88,7 @@ BlOutcome bl_run(MutableHypergraph& mh, const BlOptions& opt,
     double p = opt.probability_override;
     if (p <= 0.0) {
       if (opt.recompute_probability) {
-        const auto dstats = live_degree_stats(mh, opt.stats, rc);
+        const DegreeStats& dstats = degrees.sync(mh);
         stats.delta = dstats.delta;
         p = bl_probability(dstats, opt.a_factor);
         if (metrics) {

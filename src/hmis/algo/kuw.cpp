@@ -24,6 +24,7 @@ KuwOutcome kuw_run(MutableHypergraph& mh, const KuwOptions& opt,
   engine::RoundContext& rc = ctx != nullptr ? *ctx : local_ctx;
   if (rc.cancel == nullptr) rc.cancel = opt.cancel;
   auto& position = rc.positions(mh.num_original_vertices());
+  using PriorityKey = engine::RoundContext::PriorityKey;
 
   while (mh.num_live_vertices() > 0) {
     rc.poll_cancel();
@@ -46,18 +47,26 @@ KuwOutcome kuw_run(MutableHypergraph& mh, const KuwOptions& opt,
       break;
     }
 
-    // Random order via counter-RNG keys (deterministic per (seed, round)).
+    // Random order via counter-RNG keys (deterministic per (seed, round)):
+    // one priority draw per vertex, then a sort on (priority, id).
+    auto& keys = rc.priority_keys(order.size());
+    par::parallel_for(
+        0, order.size(),
+        [&](std::size_t i) {
+          keys[i] = {rng.priority(stats.stage, order[i]), order[i]};
+        },
+        nullptr, opt.pool);
     par::parallel_sort(
-        order,
-        [&](VertexId a, VertexId b) {
-          const std::uint64_t pa = rng.priority(stats.stage, a);
-          const std::uint64_t pb = rng.priority(stats.stage, b);
-          return pa != pb ? pa < pb : a < b;
+        keys,
+        [](const PriorityKey& a, const PriorityKey& b) {
+          return a.priority != b.priority ? a.priority < b.priority
+                                          : a.vertex < b.vertex;
         },
         metrics, opt.pool);
     par::parallel_for(
         0, order.size(),
         [&](std::size_t i) {
+          order[i] = keys[i].vertex;
           position[order[i]] = static_cast<std::uint32_t>(i + 1);  // 1-based
         },
         metrics, opt.pool);

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "hmis/engine/frame_arena.hpp"
+#include "hmis/hypergraph/degree_stats.hpp"
 #include "hmis/hypergraph/mutable_hypergraph.hpp"
 #include "hmis/util/bitset.hpp"
 #include "hmis/util/cancel.hpp"
@@ -81,10 +82,20 @@ class RoundContext {
   /// Zeroed per-vertex positions (KUW's permutation ranks).
   std::vector<std::uint32_t>& positions(std::size_t n);
 
-  /// Outer vector for materialized live-edge lists (BL's degree-stats
-  /// input).  Grown but never shrunk, so the inner vectors keep their
-  /// capacity across rounds; callers track the live count themselves.
-  std::vector<VertexList>& edge_lists() noexcept { return edge_lists_; }
+  /// (counter-RNG priority, vertex) sort keys (KUW's per-round order).
+  /// Fully overwritten by the caller.
+  struct PriorityKey {
+    std::uint64_t priority;
+    VertexId vertex;
+  };
+  std::vector<PriorityKey>& priority_keys(std::size_t n) {
+    priority_keys_.resize(n);
+    return priority_keys_;
+  }
+
+  /// BL's live Δ(H) table.  Callers reset() it per residual graph; its
+  /// capacity carries over to the next one (SBL's inner BL runs).
+  DegreeTracker& degree_tracker() noexcept { return degree_tracker_; }
 
   /// Fold-back split outputs (SBL's blue/red partition of a sample).
   std::vector<VertexId>& blue_out() noexcept { return blue_out_; }
@@ -110,7 +121,8 @@ class RoundContext {
   std::vector<std::uint8_t> unmarked_;
   std::vector<std::uint8_t> blue_mask_;
   std::vector<std::uint32_t> positions_;
-  std::vector<VertexList> edge_lists_;
+  std::vector<PriorityKey> priority_keys_;
+  DegreeTracker degree_tracker_;
   std::vector<VertexId> blue_out_;
   std::vector<VertexId> red_out_;
   std::vector<std::uint32_t> split_offsets_;

@@ -17,8 +17,18 @@
 // Edges larger than `max_enum_edge_size` — or instances whose total emission
 // count exceeds `enum_budget` — fall back to singleton subsets only
 // (|x| = 1), which lower-bounds Δ; `exact` reports which mode ran.
-// Subsets are identified by a 64-bit hash (collisions only *merge* counts;
-// at the default budget the collision probability is < 1e-6).
+// Subsets are identified by a 64-bit hash packed with (|x|, |e|) (collisions
+// only *merge* counts; at the default budget the collision probability is
+// < 1e-6).
+//
+// Two entry points share that emission scheme:
+//  * compute_degree_stats — from scratch over an edge list (the planner's
+//    entry point, and the oracle the tracker is tested against);
+//  * DegreeTracker — a live (packed key → count) table over a residual
+//    MutableHypergraph.  Each sync() re-emits only the edges that shrank or
+//    died since the previous one (DESIGN.md §7, "Incremental rounds"), and
+//    returns stats equal, field for field, to compute_degree_stats over the
+//    live edge lists — so BL's marking probability keeps every bit.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +38,8 @@
 #include "hmis/hypergraph/hypergraph.hpp"
 
 namespace hmis {
+
+class MutableHypergraph;
 
 struct DegreeStatsOptions {
   /// Edges longer than this use singleton subsets only.
@@ -54,6 +66,78 @@ struct DegreeStats {
 /// Compute stats for an immutable hypergraph.
 [[nodiscard]] DegreeStats compute_degree_stats(
     const Hypergraph& h, const DegreeStatsOptions& opt = DegreeStatsOptions{});
+
+/// Live Δ(H) over the residual of a MutableHypergraph (BL's per-round
+/// probability input).  The tracker keeps, per edge, the size and members it
+/// last accounted; sync() diffs that against the residual, subtracts each
+/// changed edge's old emissions and adds its new ones.  Per (|e|, |x|) level
+/// it keeps a histogram of count values, so the level maximum — and with it
+/// Δ_i, Δ, max_count — stays exact under the ±1 updates.
+///
+/// Enumeration mode follows compute_degree_stats: exact iff every live edge
+/// has size <= max_enum_edge_size and Σ(2^|e| − 2) <= enum_budget.  Edges
+/// only shrink or die, so both quantities only fall: a tracker moves from
+/// singleton mode to exact mode at most once (rebuilding its table then),
+/// never back.
+///
+/// Single-session state like the RoundContext that owns it: not
+/// thread-safe.  Capacity survives reset(), so SBL's inner BL runs reuse it.
+class DegreeTracker {
+ public:
+  /// Forget the accounted graph; the next sync() rebuilds from scratch
+  /// under `opt`.  Keeps capacity.
+  void reset(const DegreeStatsOptions& opt = DegreeStatsOptions{});
+
+  /// Account every edge of `mh` that changed since the previous sync() and
+  /// return the current stats (valid until the next sync or reset).
+  const DegreeStats& sync(const MutableHypergraph& mh);
+
+ private:
+  /// Re-emit every accounted edge into an emptied table.
+  void rebuild();
+  /// Add `delta` (±1) to every key edge {verts, s} emits in the current mode.
+  void account(const VertexId* verts, std::size_t s, int delta);
+  void bump(std::uint64_t key, int delta);
+  void grow();
+  void note_size(std::size_t s, int delta);
+  void assemble_stats();
+
+  struct Level {
+    std::vector<std::uint32_t> hist;  ///< hist[c] = keys with count c
+    std::uint32_t max = 0;            ///< largest c with hist[c] > 0
+    bool listed = false;              ///< in used_levels_
+  };
+
+  DegreeStatsOptions opt_;
+  const Hypergraph* graph_ = nullptr;  ///< the accounted graph
+  bool exact_ = true;
+
+  // Per-edge accounted state: size (0 = dead) and a copy of the members at
+  // the original CSR offsets (edges only shrink in place, so it fits).
+  std::vector<std::uint32_t> acc_size_;
+  std::vector<VertexId> acc_members_;
+  std::vector<EdgeId> changed_;
+
+  // Mode inputs over the accounted live edges.
+  std::vector<std::uint64_t> size_hist_;  ///< live edges per size
+  std::size_t max_size_ = 0;
+  std::uint64_t enum_total_ = 0;  ///< Σ(2^s − 2) over s <= max_enum
+  std::uint64_t oversize_ = 0;    ///< live edges with s > max_enum
+
+  // Open-addressing (linear probing) key → count table; key 0 is empty
+  // (a packed key always has |x| >= 1 in bits 8..15).
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> counts_;
+  std::size_t used_ = 0;
+  int shift_ = 64;
+
+  // Levels indexed by (|e| & 0xFF) * level_dim_ + (|x| & 0xFF).
+  std::vector<Level> levels_;
+  std::size_t level_dim_ = 0;
+  std::vector<std::uint32_t> used_levels_;
+
+  DegreeStats stats_;
+};
 
 /// |N_j(x,H)| for one specific x over an edge list: result[j] = count of
 /// edges e ⊇ x with |e| = |x| + j.  result.size() == max_j + 1; entry 0

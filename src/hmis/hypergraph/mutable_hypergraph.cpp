@@ -1,8 +1,9 @@
 // Residual hypergraph maintenance on the sharded slab data plane
-// (DESIGN.md §7, §10), in two interchangeable flavours per operation: a
-// plain serial loop (pool == nullptr, or sub-grain input) and a
-// deterministic parallel kernel on the attached ThreadPool.  The flavours
-// must agree bit-for-bit — the kernels therefore use only order-independent
+// (DESIGN.md §7, §10).  Most operations come in two interchangeable
+// flavours: a plain serial loop (pool == nullptr, or sub-grain input) and a
+// deterministic parallel kernel on the attached ThreadPool;
+// dedupe_and_minimalize has one body that runs on either.  Results must
+// agree bit-for-bit — the kernels therefore use only order-independent
 // ingredients:
 //   * exclusive-scan compaction for every packed output (ascending ids),
 //   * per-shard sort + unique runs combined by the deterministic merge
@@ -12,13 +13,14 @@
 //   * idempotent atomic bit sets/resets for edge liveness and dirty marking,
 //   * commutative atomic counters for degree bookkeeping (each (edge,
 //     vertex) pair contributes exactly once, so the final sums are exact),
-//   * a total (size, lex, id) sort order wherever duplicates must pick a
-//     canonical survivor.
+//   * the smallest id as the canonical survivor wherever duplicates
+//     collapse (a (size, lex, id) sort in the induced builds; an atomically
+//     marked doomed bitset, deleted in id order, in dedupe).
 //
 // Output sensitivity: the batch mutations never scan all m edges.  They
 // walk the live-incidence segments of the batch vertices (cost: the touched
-// incidence), and the singleton cascade consumes a pending queue fed by the
-// only operation that shrinks edges (color_blue).  Stale incidence entries
+// incidence), and the singleton cascade and dedupe consume queues fed by
+// the only operation that shrinks edges (color_blue).  Stale incidence entries
 // (edges that died) are compacted out PER SHARD under a per-shard
 // half-occupancy rule: a deletion banks its debt in its own shard and marks
 // its members dirty there, so a hot shard sweeps its dirty segments while
@@ -165,6 +167,10 @@ MutableHypergraph::MutableHypergraph(const Hypergraph& h, par::ThreadPool* pool,
   } else {
     par::parallel_for(0, n_, fill_row, nullptr, pool_);
   }
+  // Every edge starts dirty (all_dirty_; the mask alone records it until
+  // the first dedupe_and_minimalize, which checks them all — later calls
+  // check only what shrank since).
+  dirty_edge_mask_.resize(m, true);
   // Seed the singleton queue: edges born at size 1 are pending from the
   // start; afterwards only color_blue can create new singletons.  Both
   // flavours emit the same ascending list.
@@ -334,6 +340,15 @@ bool MutableHypergraph::use_parallel(std::size_t work) const {
   // both the loop primitives and this serial/parallel gate.
   return pool_ != nullptr && pool_->num_threads() > 1 &&
          work >= par::default_grain();
+}
+
+template <typename F>
+void MutableHypergraph::for_range(std::size_t n, F&& f) const {
+  if (pool_ == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) f(i);
+    return;
+  }
+  par::parallel_for(0, n, f, nullptr, pool_);
 }
 
 void MutableHypergraph::compact_segment(VertexId v, std::size_t s) {
@@ -521,6 +536,7 @@ void MutableHypergraph::color_blue(std::span<const VertexId> vs) {
         --live_degree_[v];  // v no longer counted in this edge
         HMIS_CHECK(sz != 0, "edge became fully blue: independence violated");
         if (sz == 1) singleton_pending_.push_back(e);
+        mark_shrunk(e);
       }
       shard_state_[s].live_entries -= removed;
     }
@@ -576,6 +592,7 @@ void MutableHypergraph::parallel_shrink_blue(std::span<const VertexId> vs,
     }
     removed += shrink_removed_[j];
     if (edge_size_[e] == 1) singleton_pending_.push_back(e);
+    mark_shrunk(e);
   }
   shard_state_[s].live_entries -= removed;
 }
@@ -692,128 +709,61 @@ std::vector<VertexId> MutableHypergraph::isolated_live_vertices() const {
 }
 
 std::size_t MutableHypergraph::dedupe_and_minimalize() {
-  // Both flavours order live edges by the total (size, lex, id) key so the
-  // canonical survivor of a duplicate group — the smallest id — does not
-  // depend on sort implementation or thread count.
-  const auto by_size_lex_id = [this](EdgeId a, EdgeId b) {
-    return edge_size_lex_id_less(a, b);
-  };
-
-  if (!use_parallel(live_edge_count_)) {
-    std::vector<EdgeId> order = live_edges();
-    std::sort(order.begin(), order.end(), by_size_lex_id);
-    std::size_t removed = 0;
-    // Kept-edge index per vertex for subset candidate pruning.
-    std::vector<std::vector<EdgeId>> kept_incident(n_);
-    EdgeId prev = kInvalidEdge;
-    for (const EdgeId e : order) {
-      const auto verts = edge(e);
-      if (prev != kInvalidEdge && edge_equal(prev, e)) {
-        delete_edge(e);
-        ++removed;
-        continue;
-      }
-      // Dominating subsets share every one of their own vertices with this
-      // edge, so scanning the kept-incidence lists of ALL members finds them.
-      bool dominated = false;
-      for (const VertexId v : verts) {
-        for (const EdgeId k : kept_incident[v]) {
-          const auto f = edge(k);
-          if (f.size() < verts.size() &&
-              std::includes(verts.begin(), verts.end(), f.begin(), f.end())) {
-            dominated = true;
-            break;
-          }
-        }
-        if (dominated) break;
-      }
-      if (dominated) {
-        delete_edge(e);
-        ++removed;
-        continue;
-      }
-      for (const VertexId v : verts) kept_incident[v].push_back(e);
-      prev = e;
-    }
-    maybe_compact_shards();
-    return removed;
+  // Removes exactly what a from-scratch pass would: every live edge that
+  // strictly contains another live edge, and every live edge equal to one
+  // with a smaller id.  Only a dirty edge (one that shrank since the last
+  // call; all edges before the first) can witness such a removal — the
+  // residual was minimal after the previous call, deletions create no
+  // containment, and a clean witness w ⊆ e would have satisfied w ⊆ e
+  // already then (DESIGN.md §7, "Incremental rounds").
+  //
+  // Pass 1 (read-only): each live dirty edge f walks the segments of its
+  // lowest-live-degree member — every live g ⊇ f sits there — and dooms
+  // each strict superset, and the larger id of each equal pair.  A doomed
+  // witness still counts (the from-scratch pass tests against every live
+  // edge).  Dooming is an idempotent atomic bit set.
+  if (doomed_mask_.size() != edge_size_.size()) {
+    doomed_mask_.resize(edge_size_.size());
   }
+  const std::size_t checks =
+      all_dirty_ ? edge_size_.size() : dirty_edges_.size();
+  for_range(checks, [&](std::size_t i) {
+    const EdgeId f = all_dirty_ ? static_cast<EdgeId>(i) : dirty_edges_[i];
+    if (!edge_live_[f]) return;
+    const auto fv = edge(f);
+    VertexId pivot = fv.front();
+    for (const VertexId v : fv) {
+      if (live_degree_[v] < live_degree_[pivot]) pivot = v;
+    }
+    for_each_live_incident(pivot, [&](EdgeId g) {
+      if (g == f || edge_size_[g] < fv.size()) return;
+      if (edge_size_[g] == fv.size()) {
+        if (edge_equal(f, g)) doomed_mask_.set_atomic(std::max(f, g));
+        return;
+      }
+      const auto gv = edge(g);
+      if (std::includes(gv.begin(), gv.end(), fv.begin(), fv.end())) {
+        doomed_mask_.set_atomic(g);
+      }
+    });
+  });
+  if (all_dirty_) {
+    dirty_edge_mask_.clear_all();
+    all_dirty_ = false;
+  } else {
+    for (const EdgeId f : dirty_edges_) dirty_edge_mask_.reset(f);
+  }
+  dirty_edges_.clear();
 
-  // ---- Parallel flavour ----------------------------------------------------
-  // Equivalent removal set, derived without the sequential kept-set: an edge
-  // is removed iff it is a non-canonical duplicate, or some live
-  // non-duplicate edge is a strict subset of it.  (If the witness subset is
-  // itself dominated, a minimal subset below it also witnesses, so checking
-  // against ALL non-duplicate live edges matches the incremental serial
-  // answer exactly.)
-  const std::size_t m = edge_size_.size();
-  const std::size_t S = plan_.count;
-  std::vector<EdgeId> order = live_edges();
-  par::parallel_sort(order, by_size_lex_id, nullptr, pool_);
-  // state: 0 = dead, 1 = live canonical, 2 = live duplicate.
-  std::vector<std::uint8_t> state(m, 0);
-  par::parallel_for(
-      0, order.size(),
-      [&](std::size_t i) {
-        const EdgeId e = order[i];
-        const bool dup = i > 0 && edge_equal(order[i - 1], e);
-        state[e] = dup ? 2 : 1;
-      },
-      nullptr, pool_);
-  std::vector<std::uint8_t> gone(m, 0);
-  par::parallel_for(
-      0, order.size(),
-      [&](std::size_t i) {
-        const EdgeId e = order[i];
-        if (state[e] == 2) {
-          gone[e] = 1;
-          return;
-        }
-        const auto verts = edge(e);
-        // A strict subset shares each of its current members with e, and
-        // every live edge of a live vertex sits in that vertex's incidence
-        // segments — so walking the segments of e's members finds every
-        // witness (stale entries are filtered by the state check).
-        for (const VertexId v : verts) {
-          for (std::size_t s = 0; s < S; ++s) {
-            const EdgeId* p = inc_pools_[s].data() + inc_seg_off_[seg(v, s)];
-            const std::uint32_t len = inc_seg_len_[seg(v, s)];
-            for (std::uint32_t j = 0; j < len; ++j) {
-              const EdgeId f = p[j];
-              if (state[f] != 1 || f == e) continue;
-              const auto fv = edge(f);
-              if (fv.size() < verts.size() &&
-                  std::includes(verts.begin(), verts.end(), fv.begin(),
-                                fv.end())) {
-                gone[e] = 1;
-                return;
-              }
-            }
-          }
-        }
-      },
-      nullptr, pool_);
-  const auto del = par::pack_indices(
-      m, [&](std::size_t e) { return gone[e] != 0; }, nullptr, pool_);
-  par::parallel_for(
-      0, del.size(),
-      [&](std::size_t i) {
-        const EdgeId e = del[i];
-        edge_live_.reset_atomic(e);
-        const std::size_t s = plan_.shard_of(e);
-        const VertexId* verts =
-            edge_pools_[s].data() + (edge_offset(e) - shard_payload_base_[s]);
-        const std::uint32_t sz = edge_size_[e];
-        for (std::uint32_t r = 0; r < sz; ++r) {
-          atomic_decrement(live_degree_[verts[r]]);
-          dirty_[s].set_atomic(verts[r]);
-        }
-      },
-      nullptr, pool_);
-  live_edge_count_ -= del.size();
-  account_deleted_sorted(del);
+  // Pass 2: delete the doomed edges in ascending id order.
+  std::size_t removed = 0;
+  doomed_mask_.for_each_set_bit([&](std::size_t g) {
+    delete_edge(static_cast<EdgeId>(g));
+    ++removed;
+  });
+  if (removed != 0) doomed_mask_.clear_all();
   maybe_compact_shards();
-  return del.size();
+  return removed;
 }
 
 MutableHypergraph::Induced MutableHypergraph::induced_subgraph(

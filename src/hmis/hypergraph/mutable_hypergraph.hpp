@@ -211,9 +211,15 @@ class MutableHypergraph {
   /// isolated-vertex shortcut; see DESIGN.md fidelity note 3.)
   [[nodiscard]] std::vector<VertexId> isolated_live_vertices() const;
 
-  /// Remove duplicate live edges and live edges that strictly contain
-  /// another live edge (minimal-edge retention; fidelity note 1).
-  /// Returns the number of edges removed.
+  /// Remove duplicate live edges (every copy but the smallest id) and live
+  /// edges that strictly contain another live edge (minimal-edge retention;
+  /// fidelity note 1).  Returns the number of edges removed.
+  /// Output-sensitive: checks only the edges on the dirty-edge queue — those
+  /// color_blue shrank since the previous call (every edge before the
+  /// first) — each against the incidence of its lowest-live-degree member.
+  /// Shrinking is the only way an edge can newly become a subset of or equal
+  /// to another, so the removal set equals a from-scratch pass
+  /// (DESIGN.md §7).
   std::size_t dedupe_and_minimalize();
 
   // ---- Subhypergraph extraction -------------------------------------------
@@ -289,9 +295,20 @@ class MutableHypergraph {
       }
     }
   }
+  /// Queue a shrunk edge for the next dedupe_and_minimalize (idempotent;
+  /// a no-op while every edge is still dirty).
+  void mark_shrunk(EdgeId e) {
+    if (dirty_edge_mask_.test(e)) return;
+    dirty_edge_mask_.set(e);
+    dirty_edges_.push_back(e);
+  }
+  /// f(i) for i in [0, n) on the attached pool; a plain loop without one
+  /// (the par primitives would fall back to the global pool).
+  template <typename F>
+  void for_range(std::size_t n, F&& f) const;
   /// Edge-content equality for canonical-survivor dedupe.
   [[nodiscard]] bool edge_equal(EdgeId a, EdgeId b) const noexcept;
-  /// The (size, lex, id) total order shared by every dedupe flavour.
+  /// The (size, lex, id) total order of the induced-build dedupe.
   [[nodiscard]] bool edge_size_lex_id_less(EdgeId a, EdgeId b) const noexcept;
 
   void delete_edge(EdgeId e);
@@ -371,6 +388,11 @@ class MutableHypergraph {
   std::vector<std::uint32_t> inc_seg_len_; // (v, s) -> current segment length
   std::vector<std::uint32_t> live_degree_; // live incident edges per vertex
   std::vector<EdgeId> singleton_pending_;  // edges shrunk to size 1
+  // Dirty-edge queue: edges shrunk since the last dedupe_and_minimalize.
+  // Before the first call every edge is dirty and only the mask records it.
+  util::DynamicBitset dirty_edge_mask_;
+  std::vector<EdgeId> dirty_edges_;
+  bool all_dirty_ = true;
 
   // ---- Per-shard debt accounting ------------------------------------------
   struct ShardState {
@@ -393,6 +415,7 @@ class MutableHypergraph {
   std::vector<std::uint32_t> shrink_removed_;    // blue: per-edge removals
   std::vector<std::uint32_t> pack_offsets_;   // dense: pack over m (< 2^32)
   util::DynamicBitset touched_mask_;  // m bits; dense-gather marking
+  util::DynamicBitset doomed_mask_;   // dedupe: m bits, set atomically
 
   std::size_t live_vertex_count_ = 0;
   std::size_t live_edge_count_ = 0;

@@ -238,6 +238,86 @@ TEST(MutableHypergraphModel, LongInterleavedWithPlantedDuplicates) {
   hmis_test::run_model_property_script(h, {&mh}, {"serial-slab"}, 1234, 80);
 }
 
+// ---- Incremental minimalization (DESIGN.md §7) -----------------------------
+// dedupe_and_minimalize checks only the edges that shrank since its previous
+// call.  These pin its removal set to the model's from-scratch pass: twins
+// formed from either id side, clean edges doomed by a dirty subset, and long
+// scripts over non-minimal instances with irregular dedupe gaps.
+
+/// Build, optionally dedupe, apply the blue batches in order, dedupe, and
+/// compare the removal count and surviving ids with the model's.
+void expect_dedupe_after(const std::vector<VertexList>& edges, bool dedupe_first,
+                         const std::vector<std::vector<VertexId>>& blue_batches,
+                         std::size_t want_removed,
+                         const std::vector<bool>& want_live) {
+  HypergraphBuilder b(8);
+  b.dedupe_edges(false);
+  for (const auto& e : edges) {
+    b.add_edge(std::span<const VertexId>(e.data(), e.size()));
+  }
+  const Hypergraph h = b.build();
+  MutableHypergraph mh(h);
+  hmis_test::ReferenceResidual model(h);
+  if (dedupe_first) {
+    EXPECT_EQ(model.dedupe_and_minimalize(), mh.dedupe_and_minimalize());
+  }
+  for (const auto& batch : blue_batches) {
+    mh.color_blue(batch);
+    model.color_blue(batch);
+  }
+  EXPECT_EQ(model.dedupe_and_minimalize(), want_removed);
+  EXPECT_EQ(mh.dedupe_and_minimalize(), want_removed);
+  for (EdgeId e = 0; e < want_live.size(); ++e) {
+    EXPECT_EQ(mh.edge_live(e), want_live[e]) << "edge " << e;
+  }
+  hmis_test::expect_matches_model(model, mh, "dedupe");
+}
+
+TEST(Minimalization, HigherIdShrinksIntoLowerIdTwin) {
+  // After a dedupe, {0,1,3} (id 0) shrinks to {0,1}; then {0,1,2} (id 1)
+  // shrinks onto it.  The larger id goes.
+  expect_dedupe_after({{0, 1, 3}, {0, 1, 2}, {4, 5}}, true, {{3}, {2}}, 1,
+                      {true, false, true});
+  // Non-minimal start: id 1 shrinks onto a twin that never shrank.
+  expect_dedupe_after({{0, 1}, {0, 1, 2}, {4, 5}}, false, {{2}}, 1,
+                      {true, false, true});
+}
+
+TEST(Minimalization, LowerIdShrinksIntoHigherIdTwin) {
+  // The same pair, shrinking in the other order: id 0 lands on id 1's
+  // twin.  The canonical survivor is still the smaller id.
+  expect_dedupe_after({{0, 1, 3}, {0, 1, 2}, {4, 5}}, true, {{2}, {3}}, 1,
+                      {true, false, true});
+  // Non-minimal start: the twin that never shrank (id 1) is the one removed.
+  expect_dedupe_after({{0, 1, 2}, {0, 1}, {4, 5}}, false, {{2}}, 1,
+                      {true, false, true});
+}
+
+TEST(Minimalization, CleanEdgeDoomedByShrunkSubset) {
+  // {0,1,3} never shrinks, but {0,1,2} shrinks to {0,1} ⊊ {0,1,3}.
+  expect_dedupe_after({{0, 1, 3}, {0, 1, 2}, {4, 5}}, true, {{2}}, 1,
+                      {false, true, true});
+}
+
+TEST(Minimalization, FirstCallSeesNonMinimalInput) {
+  // Every edge starts on the dirty queue: copies and supersets of {0,1} at
+  // both id sides all go on the first call.
+  expect_dedupe_after({{0, 1, 4}, {0, 1}, {0, 1}, {5, 6}, {0, 1, 2}}, false, {},
+                      3, {false, true, false, true, false});
+}
+
+TEST(Minimalization, IrregularScriptsMatchModel) {
+  for (const std::uint64_t seed : {5u, 71u, 404u}) {
+    const Hypergraph h = hmis_test::non_minimal_graph(70, 90, seed);
+    MutableHypergraph s1(h), s2(h, nullptr, ShardConfig{.shards = 2}),
+        s7(h, nullptr, ShardConfig{.shards = 7});
+    hmis_test::run_minimalize_script(
+        h, {&s1, &s2, &s7}, {"shards(1)", "shards(2)", "shards(7)"},
+        seed * 613, 120);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 // ---- Shard-count invariance (DESIGN.md §10) --------------------------------
 // The sharded slab + incidence index must be invisible: at shard counts
 // {1, 2, 7} every observable quantity matches the vector-of-vectors model

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "test_reference_model.hpp"
@@ -375,6 +376,29 @@ TEST_F(MutableHypergraphParallel, ReferenceModelLongInterleavedLarge) {
   MutableHypergraph m2(h, &p2), mn(h, &pn);
   hmis_test::run_model_property_script(
       h, {&serial, &m2, &mn}, {"serial", "pool(2)", "pool(max)"}, 4242, 14);
+}
+
+// ---- Incremental minimalization at every width -----------------------------
+// The dirty-edge dedupe against the model's from-scratch pass on non-minimal
+// instances with irregular dedupe gaps (test_reference_model.hpp).  The
+// large instance puts the first call's full dirty queue above the grain.
+
+TEST_F(MutableHypergraphParallel, MinimalizeScriptsMatchModelAtEveryWidth) {
+  for (const auto& [n, base, steps] :
+       {std::tuple<std::size_t, std::size_t, int>{70, 90, 120},
+        std::tuple<std::size_t, std::size_t, int>{1500, 2400, 30}}) {
+    const Hypergraph h = hmis_test::non_minimal_graph(n, base, n + base);
+    par::ThreadPool p1(1), p2(2), pn(hmis_test::max_test_threads());
+    MutableHypergraph serial(h);
+    MutableHypergraph m1(h, &p1, ShardConfig{.shards = 2});
+    MutableHypergraph m2(h, &p2, ShardConfig{.shards = 7});
+    MutableHypergraph mn(h, &pn);
+    hmis_test::run_minimalize_script(
+        h, {&serial, &m1, &m2, &mn},
+        {"serial", "pool(1)/shards(2)", "pool(2)/shards(7)", "pool(max)"},
+        base * 17, steps);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // ---- Shard matrix: counts {1, 2, 7} x threads {1, 2, max} ------------------

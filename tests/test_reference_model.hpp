@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "hmis/hypergraph/builder.hpp"
 #include "hmis/hypergraph/hypergraph.hpp"
 #include "hmis/hypergraph/mutable_hypergraph.hpp"
 #include "hmis/util/rng.hpp"
@@ -269,6 +270,121 @@ inline void run_model_property_script(
         EXPECT_EQ(want_reds, variants[i]->singleton_cascade()) << names[i];
         EXPECT_EQ(want_removed, variants[i]->dedupe_and_minimalize())
             << names[i];
+      }
+    }
+    for (std::size_t i = 0; i < variants.size(); ++i) {
+      expect_matches_model(model, *variants[i], names[i]);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+/// A deliberately NON-minimal instance: random edges plus planted copies
+/// (before and after the original id), strict supersets, and pairs
+/// e ∪ {x}, e ∪ {y} that become twins once x and y turn blue — so
+/// blue batches keep creating duplicates and containments mid-script, with
+/// the lower or the higher id on the shrinking side.
+inline Hypergraph non_minimal_graph(std::size_t n, std::size_t base_edges,
+                                    std::uint64_t seed) {
+  util::Xoshiro256ss rng(seed);
+  const auto random_vertex_not_in = [&](const VertexList& e) {
+    auto v = static_cast<VertexId>(rng.below(n));
+    while (std::find(e.begin(), e.end(), v) != e.end()) {
+      v = static_cast<VertexId>(rng.below(n));
+    }
+    return v;
+  };
+  std::vector<VertexList> edges;
+  for (std::size_t i = 0; i < base_edges; ++i) {
+    VertexList e;
+    const std::size_t arity = 2 + rng.below(4);
+    while (e.size() < arity) e.push_back(random_vertex_not_in(e));
+    std::sort(e.begin(), e.end());
+    edges.push_back(e);
+  }
+  for (std::size_t i = 0; i < base_edges / 2; ++i) {
+    const VertexList e = edges[rng.below(edges.size())];
+    VertexList x = e;
+    x.push_back(random_vertex_not_in(x));
+    std::sort(x.begin(), x.end());
+    VertexList y = e;
+    y.push_back(random_vertex_not_in(y));
+    std::sort(y.begin(), y.end());
+    switch (i % 3) {
+      case 0:  // a copy, at a random position (lower or higher id)
+        edges.insert(edges.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.below(edges.size() + 1)),
+                     e);
+        break;
+      case 1:  // a strict superset, at a random position
+        edges.insert(edges.begin() + static_cast<std::ptrdiff_t>(
+                                         rng.below(edges.size() + 1)),
+                     x);
+        break;
+      default:  // two supersets that shrink into twins
+        edges.push_back(x);
+        edges.push_back(y);
+        break;
+    }
+  }
+  HypergraphBuilder b(n);
+  b.dedupe_edges(false);
+  for (const auto& e : edges) {
+    b.add_edge(std::span<const VertexId>(e.data(), e.size()));
+  }
+  return b.build();
+}
+
+/// The incremental-minimalization oracle: like run_model_property_script,
+/// but dedupe runs only after an irregular gap of 1..7 mutations (never
+/// before the first one, so the graph starts non-minimal) and blue batches
+/// stay small, so several shrinks accumulate on the dirty-edge queue
+/// between calls.  Removal counts and every edge's liveness (the surviving
+/// ids) must match the model's from-scratch pass after each call.
+inline void run_minimalize_script(const Hypergraph& h,
+                                  std::vector<MutableHypergraph*> variants,
+                                  const std::vector<const char*>& names,
+                                  std::uint64_t seed, int steps) {
+  ReferenceResidual model(h);
+  util::Xoshiro256ss rng(seed);
+  std::size_t gap = 1 + rng.below(7);
+  for (int s = 0; s < steps && model.num_live_vertices() > 0; ++s) {
+    if (gap-- == 0) {
+      gap = 1 + rng.below(7);
+      const auto want = model.dedupe_and_minimalize();
+      for (std::size_t i = 0; i < variants.size(); ++i) {
+        EXPECT_EQ(want, variants[i]->dedupe_and_minimalize())
+            << names[i] << " dedupe diverged at step " << s;
+      }
+    } else {
+      const auto kind = rng.below(6);
+      if (kind == 5) {
+        const auto want = model.singleton_cascade();
+        for (std::size_t i = 0; i < variants.size(); ++i) {
+          EXPECT_EQ(want, variants[i]->singleton_cascade()) << names[i];
+        }
+      } else {
+        // Mostly blue (4:1), 1..3 vertices.
+        const bool blue = kind != 4;
+        const auto live = model.live_vertices();
+        const std::size_t batch = 1 + rng.below(3);
+        std::vector<VertexId> vs;
+        std::vector<std::uint8_t> in_s(h.num_vertices(), 0);
+        for (std::size_t t = 0; t < batch; ++t) {
+          const VertexId v = live[rng.below(live.size())];
+          if (in_s[v]) continue;
+          if (blue && model.completes_edge(in_s, v)) continue;
+          in_s[v] = 1;
+          vs.push_back(v);
+        }
+        if (vs.empty()) continue;
+        if (blue) {
+          model.color_blue(vs);
+          for (auto* mh : variants) mh->color_blue(vs);
+        } else {
+          model.color_red(vs);
+          for (auto* mh : variants) mh->color_red(vs);
+        }
       }
     }
     for (std::size_t i = 0; i < variants.size(); ++i) {
